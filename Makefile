@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint semantic chaos chaos-service check golden-check service-smoke bench-hotpath bench-fleet bench-check bench-paper
+.PHONY: test lint semantic chaos chaos-service check golden-check service-smoke determinism-smoke bench-hotpath bench-fleet bench-check bench-paper
 
 # Tier-1: the full unit/integration/property suite.
 test:
@@ -37,10 +37,18 @@ semantic:
 service-smoke:
 	REPRO_DETERMINISM=1 $(PYTHON) examples/campaign_service.py
 
+# Fleet and resilient-service smoke: run both examples with the
+# determinism double-run enabled, re-proving the sharded fleet campaign
+# and the supervised, crash-recoverable session are bit-replayable
+# across interpreters.
+determinism-smoke:
+	REPRO_DETERMINISM=1 $(PYTHON) examples/fleet_campaign.py
+	REPRO_DETERMINISM=1 $(PYTHON) examples/resilient_service.py
+
 # Full gate: static analysis (all rules plus a cold semantic pass), the
-# service determinism smoke, the service chaos suite and the
+# service and fleet determinism smokes, the service chaos suite and the
 # perf-regression check, as CI would run them.
-check: lint semantic golden-check service-smoke chaos-service bench-check
+check: lint semantic golden-check service-smoke determinism-smoke chaos-service bench-check
 
 # PHY golden-vector drift gate: the committed conformance corpus
 # (tests/fixtures/phy_golden/) must match what the current modulators

@@ -84,9 +84,13 @@ with tempfile.TemporaryDirectory() as tmp:
 # way: the same (scaled-down) campaign in two fresh interpreters under
 # different PYTHONHASHSEED values and shard counts must fingerprint
 # bit-identically across every result array and the rollup.
-from repro.analysis.determinism import check_from_env  # noqa: E402
+from repro.determinism import (  # noqa: E402
+    check_from_env,
+    fleet_run_fingerprint,
+    fleet_runs,
+)
 
-fingerprint = check_from_env(config)
+fingerprint = check_from_env(fleet_run_fingerprint, fleet_runs(config))
 if fingerprint is not None:
     print(f"\ndeterminism double-run: fingerprints matched "
           f"({fingerprint[:16]})")

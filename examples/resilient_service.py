@@ -26,12 +26,14 @@ resilient session is run-deterministic across fresh interpreters.
 import tempfile
 from pathlib import Path
 
-from repro.analysis.determinism import (
-    resilience_check_from_env,
+from repro.determinism import (
+    check_from_env,
+    resilient_session_fingerprint,
     resilient_session_service,
     resilient_session_specs,
     resilient_session_tenants,
     service_digest,
+    session_digest,
 )
 from repro.errors import SimulatedCrashError
 from repro.faults.service import JournalTornWriteModel
@@ -51,10 +53,7 @@ golden_journal = workdir / "golden.jsonl"
 service = resilient_session_service(SEED,
                                     journal=JobJournal(str(golden_journal)))
 specs = resilient_session_specs(SEED)
-for spec in specs:
-    service.submit(spec)
-service.run_until_idle()
-golden = service_digest(service)
+golden = session_digest(service, specs)
 
 records = read_journal(str(golden_journal)).records
 stats = service.stats()
@@ -70,11 +69,8 @@ boundary = len(records) // 2
 plan = CrashPlan(after_records=boundary,
                  torn_write=JournalTornWriteModel(seed=SEED, torn_prob=1.0))
 try:
-    crashed = resilient_session_service(
-        SEED, journal=JobJournal(str(crash_journal), crash_plan=plan))
-    for spec in specs:
-        crashed.submit(spec)
-    crashed.run_until_idle()
+    session_digest(resilient_session_service(
+        SEED, journal=JobJournal(str(crash_journal), crash_plan=plan)), specs)
     raise SystemExit("crash plan never fired")
 except SimulatedCrashError:
     print(f"\nkilled mid-session after journal record {boundary} "
@@ -111,7 +107,8 @@ print(f"\nrecovered digest: {digest[:16]}... == golden (bit-identical)")
 # supervised retries, breakers, shedding and all — fingerprints
 # bit-identically across two fresh interpreters with different
 # PYTHONHASHSEED values.
-fingerprint = resilience_check_from_env(seed=SEED)
+fingerprint = check_from_env(resilient_session_fingerprint,
+                             [(SEED,), (SEED,)])
 if fingerprint is not None:
     print(f"determinism double-run: fingerprints matched "
           f"({fingerprint[:16]})")

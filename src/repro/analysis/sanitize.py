@@ -28,19 +28,10 @@ from repro.errors import ReproError
 
 ENV_VAR = "REPRO_SANITIZE"
 
-#: Opt-in flag for the double-run determinism check (see
-#: :mod:`repro.analysis.determinism`).
-DETERMINISM_ENV_VAR = "REPRO_DETERMINISM"
-
 
 class SanitizerError(ReproError):
-    """A runtime invariant check failed under REPRO_SANITIZE=1."""
-
-
-def determinism_enabled(environ: dict[str, str] | None = None) -> bool:
-    """Whether ``REPRO_DETERMINISM=1`` asks for double-run diffing."""
-    env = os.environ if environ is None else environ
-    return env.get(DETERMINISM_ENV_VAR, "") == "1"
+    """A runtime invariant check failed (``REPRO_SANITIZE=1`` or
+    ``REPRO_DETERMINISM=1``)."""
 
 
 def iter_arrays(value: Any) -> Iterator[np.ndarray]:

@@ -345,9 +345,10 @@ class LoRaCodec:
             flags = header[2]
             checksum = header[3] | (header[4] << 4)
             expected = (payload_length ^ (payload_length >> 4) ^ flags) & 0xFF
-            header_ok = checksum == expected
+            header_cr = (flags & 0x7) + 4
+            header_ok = checksum == expected and 5 <= header_cr <= 8
             if header_ok:
-                cr = (flags & 0x7) + 4
+                cr = header_cr
                 crc_flag = bool(flags & 0x8)
 
         ppm = self.params.payload_bits_per_symbol
@@ -405,9 +406,11 @@ class LoRaCodec:
         flags = int(nibbles[2])
         checksum = int(nibbles[3]) | (int(nibbles[4]) << 4)
         expected = (payload_length ^ (payload_length >> 4) ^ flags) & 0xFF
-        header_ok = checksum == expected
+        cr = (flags & 0x7) + 4
+        # A noise header can pass the 8-bit checksum yet name a coding
+        # rate outside 4/5..4/8; treat it as corrupt like a bad checksum.
+        header_ok = checksum == expected and 5 <= cr <= 8
         if header_ok:
-            cr = (flags & 0x7) + 4
             crc_flag = bool(flags & 0x8)
         else:
             cr = self.params.coding_rate_denominator

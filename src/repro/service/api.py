@@ -21,8 +21,8 @@ makes the journal a *recovery log* rather than an audit trail:
 the normal code paths — every RNG draw, ledger event and admission
 verdict regenerates bit-identically — substituting only the engine
 invocations of journaled successful runs, so a crashed session resumes
-with a ``service_session_fingerprint`` equal to an uninterrupted run's
-(the ``make chaos-service`` contract).
+with a :func:`repro.determinism.service_digest` equal to an
+uninterrupted run's (the ``make chaos-service`` contract).
 """
 
 from __future__ import annotations

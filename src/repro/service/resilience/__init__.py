@@ -16,8 +16,8 @@ happy-path demo into a service that survives its own failures:
 Everything here is deterministic on the service's virtual clock, which
 is what makes crash recovery exact: replaying the journaled prefix
 through the normal code paths regenerates the interrupted session
-bit-for-bit (``service_session_fingerprint`` parity, proven across 25
-seeds by ``make chaos-service``).
+bit-for-bit (:func:`repro.determinism.service_digest` parity, proven
+across 25 seeds by ``make chaos-service``).
 """
 
 from repro.service.resilience.breaker import (

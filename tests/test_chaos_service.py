@@ -23,15 +23,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.determinism import (
-    resilience_check_from_env,
+from repro.determinism import (
+    DETERMINISM_ENV_VAR,
+    check_from_env,
     resilient_session_fingerprint,
     resilient_session_service,
     resilient_session_specs,
     resilient_session_tenants,
     service_digest,
+    session_digest,
 )
-from repro.analysis.sanitize import DETERMINISM_ENV_VAR
 from repro.errors import SimulatedCrashError
 from repro.faults.service import JournalTornWriteModel
 from repro.service import (
@@ -50,11 +51,9 @@ _STREAM_BOUNDARY = 0x0C0B
 
 def _golden(seed: int, path) -> str:
     """The journaled golden run; returns its digest."""
-    service = resilient_session_service(seed, journal=JobJournal(str(path)))
-    for spec in resilient_session_specs(seed):
-        service.submit(spec)
-    service.run_until_idle()
-    return service_digest(service)
+    return session_digest(
+        resilient_session_service(seed, journal=JobJournal(str(path))),
+        resilient_session_specs(seed))
 
 
 def _crash_boundary(seed: int, total_records: int) -> int:
@@ -68,10 +67,8 @@ def _crashed_then_recovered(seed: int, boundary: int,
     journal = JobJournal(str(path), crash_plan=CrashPlan(
         after_records=boundary, torn_write=torn))
     try:
-        service = resilient_session_service(seed, journal=journal)
-        for spec in resilient_session_specs(seed):
-            service.submit(spec)
-        service.run_until_idle()
+        session_digest(resilient_session_service(seed, journal=journal),
+                       resilient_session_specs(seed))
         raise AssertionError(
             f"crash plan at boundary {boundary} never fired")
     except SimulatedCrashError:
@@ -117,7 +114,9 @@ def test_fingerprints_differ_across_seeds():
 
 
 def test_double_run_check_from_env():
-    assert resilience_check_from_env(seed=0, environ={}) is None
-    fingerprint = resilience_check_from_env(
-        seed=0, environ={DETERMINISM_ENV_VAR: "1"})
+    runs = [(0,), (0,)]
+    assert check_from_env(resilient_session_fingerprint, runs,
+                          environ={}) is None
+    fingerprint = check_from_env(resilient_session_fingerprint, runs,
+                                 environ={DETERMINISM_ENV_VAR: "1"})
     assert fingerprint == resilient_session_fingerprint(0)

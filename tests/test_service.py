@@ -389,7 +389,7 @@ class TestCampaignService:
 
 class TestServiceDeterminism:
     def test_scripted_session_fingerprint_is_stable_in_process(self):
-        from repro.analysis.determinism import service_session_fingerprint
+        from repro.determinism import service_session_fingerprint
 
         assert (service_session_fingerprint(5)
                 == service_session_fingerprint(5))

@@ -20,12 +20,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.determinism import (
+from repro.determinism import (
     resilient_session_fingerprint,
     resilient_session_service,
     resilient_session_specs,
     resilient_session_tenants,
     service_digest,
+    session_digest,
 )
 from repro.errors import (
     ConfigurationError,
@@ -436,11 +437,9 @@ class TestCacheCorruption:
 
 def _run_golden(seed, path):
     """The uninterrupted journaled session and its digest."""
-    service = resilient_session_service(seed, journal=JobJournal(str(path)))
-    for spec in resilient_session_specs(seed):
-        service.submit(spec)
-    service.run_until_idle()
-    return service_digest(service)
+    return session_digest(
+        resilient_session_service(seed, journal=JobJournal(str(path))),
+        resilient_session_specs(seed))
 
 
 def _crash_at(seed, boundary, path):
@@ -449,10 +448,8 @@ def _crash_at(seed, boundary, path):
     journal = JobJournal(str(path), crash_plan=CrashPlan(
         after_records=boundary, torn_write=torn))
     with pytest.raises(SimulatedCrashError):
-        service = resilient_session_service(seed, journal=journal)
-        for spec in resilient_session_specs(seed):
-            service.submit(spec)
-        service.run_until_idle()
+        session_digest(resilient_session_service(seed, journal=journal),
+                       resilient_session_specs(seed))
 
 
 def _recover_and_finish(seed, path):
