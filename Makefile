@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint semantic chaos chaos-service check golden-check service-smoke determinism-smoke bench-hotpath bench-fleet bench-check bench-paper
+.PHONY: test lint semantic chaos chaos-service check golden-check service-smoke determinism-smoke perfbench-smoke bench-hotpath bench-fleet bench-check bench-paper
 
 # Tier-1: the full unit/integration/property suite.
 test:
@@ -44,6 +44,13 @@ service-smoke:
 determinism-smoke:
 	REPRO_DETERMINISM=1 $(PYTHON) examples/fleet_campaign.py
 	REPRO_DETERMINISM=1 $(PYTHON) examples/resilient_service.py
+
+# Repo-benchmark smoke: one traced ota_campaign run (untraced, traced
+# and untraced again, outputs compared).  run.py exits 0 even when a
+# check failed, so the gate is the last stdout line's "correct" field.
+perfbench-smoke:
+	$(PYTHON) perfbench/run.py --workload ota_campaign --trace 1 \
+		| tail -n 1 | tee /dev/stderr | grep -q '"correct": true'
 
 # Full gate: static analysis (all rules plus a cold semantic pass), the
 # service and fleet determinism smokes, the service chaos suite and the

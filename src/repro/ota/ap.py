@@ -32,6 +32,7 @@ from repro.errors import (
 # in repro.ota - does not hit a partially-initialized package here.
 from repro.faults.plan import FaultPlan, NodeFaults
 from repro.ota.bank import FirmwareBanks
+from repro.ota.blocks import split_and_compress
 from repro.ota.hardened import (
     OUTCOME_ABANDONED,
     OUTCOME_RESUMED,
@@ -254,6 +255,8 @@ HardenedOtaSession`): nodes get dual-bank flash with a golden image,
                 retries=timeline.count(kinds={OTA_RETRY_WAIT}, since=since),
                 timeline=timeline)
 
+        # Every node and every retry gets the same compressed blocks.
+        blocks = split_and_compress(self.image)
         sessions: list[NodeSession] = []
         for node in self.deployment.nodes:
             session = NodeSession(node_id=node.node_id,
@@ -271,7 +274,8 @@ HardenedOtaSession`): nodes get dual-bank flash with a golden image,
                 try:
                     report = updater.update(self.image, node_link, rng,
                                             is_fpga_image=is_fpga_image,
-                                            timeline=attempt_timeline)
+                                            timeline=attempt_timeline,
+                                            blocks=blocks)
                 except OtaError:
                     # Wait for the node's next listen window, retry.
                     timeline.merge(attempt_timeline,

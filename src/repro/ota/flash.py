@@ -25,7 +25,6 @@ SECTOR_ERASE_TIME_S = 40e-3
 
 ACTIVE_READ_POWER_W = 0.015
 PROGRAM_POWER_W = 0.030
-STANDBY_POWER_W = 0.2e-6 * 1.8
 
 
 @dataclass(frozen=True)
@@ -65,12 +64,12 @@ class Mx25R6435F:
     """NOR flash with erase-before-write semantics."""
 
     def __init__(self, capacity_bytes: int = CAPACITY_BYTES) -> None:
-        if capacity_bytes % SECTOR_BYTES:
+        if capacity_bytes <= 0 or capacity_bytes % SECTOR_BYTES:
             raise ConfigurationError(
-                f"capacity must be a multiple of the {SECTOR_BYTES}-byte "
-                f"sector size, got {capacity_bytes}")
+                "capacity must be a positive multiple of the "
+                f"{SECTOR_BYTES}-byte sector size, got {capacity_bytes}")
         self.capacity_bytes = capacity_bytes
-        self._data = bytearray(b"\xff" * capacity_bytes)
+        self._data = bytearray(b"\xff") * capacity_bytes
         self._bytes_read = 0
         self._bytes_programmed = 0
         self._page_programs = 0
@@ -105,6 +104,8 @@ class Mx25R6435F:
     def erase_range(self, address: int, length: int) -> None:
         """Erase every sector overlapping ``[address, address + length)``."""
         self._check_range(address, length)
+        if not length:  # overlaps no sector
+            return
         first = (address // SECTOR_BYTES) * SECTOR_BYTES
         last = address + length
         for sector in range(first, last, SECTOR_BYTES):
@@ -117,20 +118,22 @@ class Mx25R6435F:
             FlashError: when writing to a location that is not erased
                 (would need 0 -> 1 transitions).
         """
-        self._check_range(address, len(data))
-        # Validate the whole range before touching the array, so an
-        # illegal write is rejected atomically rather than leaving a
-        # partial program behind.
-        for offset, byte in enumerate(data):
-            current = self._data[address + offset]
-            if byte & ~current:
-                raise FlashError(
-                    f"programming {byte:#04x} over {current:#04x} at "
-                    f"{address + offset:#x} requires an erase first")
-        for offset, byte in enumerate(data):
-            self._data[address + offset] &= byte
-        self._bytes_programmed += len(data)
-        self._page_programs += self.page_span(address, len(data))
+        length = len(data)
+        self._check_range(address, length)
+        # Check the whole range before touching the array, so an illegal
+        # write leaves no partial program behind.  Big-endian: the top
+        # set bit of ``illegal`` lies in the lowest offending address.
+        current = int.from_bytes(self._data[address:address + length], "big")
+        illegal = int.from_bytes(data, "big") & ~current
+        if illegal:
+            offset = length - 1 - (illegal.bit_length() - 1) // 8
+            raise FlashError(
+                f"programming {data[offset]:#04x} over "
+                f"{self._data[address + offset]:#04x} at "
+                f"{address + offset:#x} requires an erase first")
+        self._data[address:address + length] = data  # == current & data
+        self._bytes_programmed += length
+        self._page_programs += self.page_span(address, length)
 
     def write(self, address: int, data: bytes) -> None:
         """Convenience: erase the covered range, then program."""

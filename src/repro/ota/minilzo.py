@@ -32,6 +32,7 @@ MIN_MATCH = 3
 MAX_SHORT_MATCH = 9
 MAX_LITERAL_RUN = 127
 _HASH_SHIFT = 5
+_EXTEND_BYTES = 128
 
 
 def _read_cascade(data: bytes, pos: int) -> tuple[int, int]:
@@ -71,19 +72,13 @@ def compress(data: bytes) -> bytes:
     pos = 0
 
     def flush_literals(end: int) -> None:
-        start = literal_start
-        while start < end:
-            run = min(end - start, MAX_LITERAL_RUN)
-            remaining = end - start
-            if remaining > MAX_LITERAL_RUN:
-                # Long run: emit extended-literal op for the whole rest.
-                out.append(0x00)
-                _write_cascade(out, remaining - MAX_LITERAL_RUN)
-                out.extend(data[start:end])
-                return
+        run = end - literal_start
+        if run > MAX_LITERAL_RUN:  # one extended-literal op for the rest
+            out.append(0x00)
+            _write_cascade(out, run - MAX_LITERAL_RUN)
+        elif run:
             out.append(run)
-            out.extend(data[start:start + run])
-            start += run
+        out.extend(data[literal_start:end])
 
     while pos + MIN_MATCH <= n:
         key = data[pos] | (data[pos + 1] << _HASH_SHIFT) \
@@ -93,11 +88,19 @@ def compress(data: bytes) -> bytes:
         if candidate is not None and 0 < pos - candidate <= WINDOW_SIZE \
                 and data[candidate:candidate + MIN_MATCH] \
                 == data[pos:pos + MIN_MATCH]:
+            # Extend the match a slice at a time: the highest set bit of
+            # the slices' big-endian XOR is the first mismatching byte.
             length = MIN_MATCH
             limit = n - pos
-            while length < limit and data[candidate + length] \
-                    == data[pos + length]:
-                length += 1
+            while length < limit:
+                step = min(_EXTEND_BYTES, limit - length)
+                ahead = data[pos + length:pos + length + step]
+                diff = int.from_bytes(ahead, "big") ^ int.from_bytes(
+                    data[candidate + length:candidate + length + step], "big")
+                if diff:
+                    length += step - 1 - (diff.bit_length() - 1) // 8
+                    break
+                length += step
             flush_literals(pos)
             distance = pos - candidate - 1
             if length <= MAX_SHORT_MATCH:
@@ -139,28 +142,29 @@ def decompress(data: bytes, expected_size: int | None = None) -> bytes:
         token = data[pos]
         pos += 1
         if token & 0x80:
-            length_code = (token >> 4) & 0x7
             if pos >= n:
                 raise CompressionError("truncated match distance")
             distance = (((token & 0x0F) << 8) | data[pos]) + 1
             pos += 1
-            if length_code == 7:
+            length = MIN_MATCH + ((token >> 4) & 0x7)
+            if length > MAX_SHORT_MATCH:
                 extra, pos = _read_cascade(data, pos)
-                length = MAX_SHORT_MATCH + 1 + extra
-            else:
-                length = MIN_MATCH + length_code
+                length += extra
             if expected_size is not None \
                     and len(out) + length > expected_size:
                 raise CompressionError(
                     f"match of {length} bytes would grow the output past "
                     f"the expected {expected_size} bytes")
-            if distance > len(out):
+            start = len(out) - distance
+            if start < 0:
                 raise CompressionError(
                     f"match distance {distance} reaches before the output "
                     "start")
-            start = len(out) - distance
-            for i in range(length):  # overlapping copies are intentional
-                out.append(out[start + i])
+            if distance >= length:
+                out += out[start:start + length]
+            else:
+                # An overlapping copy repeats the last ``distance`` bytes.
+                out += (out[start:] * (length // distance + 1))[:length]
         else:
             if token == 0x00:
                 extra, pos = _read_cascade(data, pos)
@@ -173,20 +177,10 @@ def decompress(data: bytes, expected_size: int | None = None) -> bytes:
                     f"past the expected {expected_size} bytes")
             if pos + run > n:
                 raise CompressionError("truncated literal run")
-            out.extend(data[pos:pos + run])
+            out += data[pos:pos + run]
             pos += run
     if expected_size is not None and len(out) != expected_size:
         raise CompressionError(
             f"decompressed {len(out)} bytes, expected {expected_size}")
     return bytes(out)
 
-
-def compression_ratio(data: bytes) -> float:
-    """Convenience: ``len(compress(data)) / len(data)``.
-
-    Raises:
-        CompressionError: for empty input.
-    """
-    if not data:
-        raise CompressionError("cannot measure ratio of empty input")
-    return len(compress(data)) / len(data)

@@ -21,6 +21,7 @@ from repro.fpga.config import NODE_FPGA, FpgaConfigurator
 from repro.mcu.msp432 import NODE_MCU, Msp432
 from repro.ota.blocks import (
     BLOCK_BYTES,
+    CompressedBlock,
     reassemble,
     split_and_compress,
     total_compressed_bytes,
@@ -125,7 +126,8 @@ class OtaUpdater:
                rng: np.random.Generator,
                is_fpga_image: bool = True,
                block_bytes: int = BLOCK_BYTES,
-               timeline: Timeline | None = None) -> UpdateReport:
+               timeline: Timeline | None = None, *,
+               blocks: list[CompressedBlock] | None = None) -> UpdateReport:
         """Run one full OTA session.
 
         Args:
@@ -137,6 +139,8 @@ class OtaUpdater:
             block_bytes: compression block size.
             timeline: ledger the session is recorded on (a fresh one
                 when not supplied).
+            blocks: ``image`` already compressed, as a campaign does once
+                for all its nodes (compressed here when not supplied).
 
         Raises:
             OtaError: if the transfer aborts or the installed image does
@@ -145,7 +149,8 @@ class OtaUpdater:
         timeline = timeline if timeline is not None else Timeline()
         since = timeline.checkpoint()
         session_start_s = timeline.now_s
-        blocks = split_and_compress(image, block_bytes)
+        if blocks is None:
+            blocks = split_and_compress(image, block_bytes)
         wire_image = b"".join(block.header() + block.payload
                               for block in blocks)
         compressed_bytes = total_compressed_bytes(blocks)

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import OtaError
+from repro.ota.blocks import split_and_compress
 from repro.ota.mac import DEFAULT_OTA_PARAMS, OtaLink
 from repro.ota.updater import OtaUpdater, UpdateReport
 from repro.phy.lora.params import LoRaParams
-from repro.testbed.deployment import Deployment, NodePlacement
+from repro.testbed.deployment import Deployment
 
 
 @dataclass(frozen=True)
@@ -91,27 +92,21 @@ def run_campaign(deployment: Deployment, image: bytes, image_label: str,
     Each node gets a fresh updater (its own flash/MCU state) and a link
     whose RSSI is drawn from the deployment's path-loss model including
     shadowing - so different nodes land at different points of the PER
-    curve, which is exactly what spreads the Fig. 14 CDF.
+    curve, which is exactly what spreads the Fig. 14 CDF.  The AP
+    compresses the image once and sends the same blocks to every node.
     """
+    blocks = split_and_compress(image)
     results = []
     for node in deployment.nodes:
-        results.append(_program_node(deployment, node, image, rng, params,
-                                     is_fpga_image))
+        downlink = deployment.downlink_rssi_dbm(node, rng)
+        link = OtaLink(params=params, downlink_rssi_dbm=downlink,
+                       uplink_rssi_dbm=deployment.uplink_rssi_dbm(node, rng))
+        try:
+            report = OtaUpdater().update(image, link, rng, blocks=blocks,
+                                         is_fpga_image=is_fpga_image)
+        except OtaError:
+            report = None
+        results.append(NodeResult(
+            node_id=node.node_id, distance_m=node.distance_m,
+            downlink_rssi_dbm=downlink, report=report))
     return CampaignResult(image_label=image_label, results=tuple(results))
-
-
-def _program_node(deployment: Deployment, node: NodePlacement,
-                  image: bytes, rng: np.random.Generator,
-                  params: LoRaParams,
-                  is_fpga_image: bool) -> NodeResult:
-    downlink = deployment.downlink_rssi_dbm(node, rng)
-    uplink = deployment.uplink_rssi_dbm(node, rng)
-    link = OtaLink(params=params, downlink_rssi_dbm=downlink,
-                   uplink_rssi_dbm=uplink)
-    updater = OtaUpdater()
-    try:
-        report = updater.update(image, link, rng, is_fpga_image=is_fpga_image)
-    except OtaError:
-        report = None
-    return NodeResult(node_id=node.node_id, distance_m=node.distance_m,
-                      downlink_rssi_dbm=downlink, report=report)

@@ -1,5 +1,7 @@
 """Tests for OTA: miniLZO, blocks, flash, MAC and the end-to-end updater."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -30,8 +32,11 @@ from repro.ota import (
     simulate_transfer,
     split_and_compress,
 )
+from repro.ota import minilzo
+from repro.ota.ap import AccessPoint
 from repro.ota.flash import SECTOR_BYTES
 from repro.phy.lora import LoRaParams
+from repro.testbed import NodePlacement, campus_deployment, run_campaign
 
 
 class TestMiniLzo:
@@ -182,6 +187,55 @@ class TestFlash:
         assert stats.busy_time_s > 0
         assert stats.energy_j > 0
 
+    def test_zero_length_erase_and_write_are_no_ops(self):
+        flash = Mx25R6435F()
+        flash.program(0, b"\x00" * 16)
+        flash.erase_range(100, 0)
+        flash.write(100, b"")
+        assert flash.read(0, 16) == b"\x00" * 16
+        stats = flash.stats()
+        assert stats.sectors_erased == 0
+        assert stats.page_programs == 1
+
+    def test_zero_length_access_is_still_range_checked(self):
+        flash = Mx25R6435F()
+        with pytest.raises(FlashError):
+            flash.erase_range(flash.capacity_bytes + SECTOR_BYTES, 0)
+        with pytest.raises(FlashError):
+            flash.write(-1, b"")
+
+    @pytest.mark.parametrize("capacity", [0, -SECTOR_BYTES])
+    def test_non_positive_capacity_rejected(self, capacity):
+        with pytest.raises(ConfigurationError, match="positive multiple"):
+            Mx25R6435F(capacity)
+
+    @pytest.mark.parametrize("offset", [0, 1, 255, 4097, 65535])
+    def test_illegal_program_names_first_address_and_is_atomic(
+            self, rng, offset):
+        flash = Mx25R6435F()
+        base = 0x20000
+        size = 65536
+        staged = bytearray(rng.integers(0, 256, size, dtype=np.uint8)
+                           .tobytes())
+        staged[-1] = 0x00
+        staged[offset] = 0x0F
+        flash.program(base, bytes(staged))
+        # Clearing more bits is legal everywhere but at ``offset`` (and
+        # at the last byte, a later offender that must not be named).
+        mask = rng.integers(0, 256, size, dtype=np.uint8).tobytes()
+        data = bytearray(a & b for a, b in zip(staged, mask))
+        data[-1] |= 0x80
+        data[offset] = 0xF0
+        before = flash.read(base, size)
+        stats = flash.stats()
+        with pytest.raises(FlashError) as info:
+            flash.program(base, bytes(data))
+        assert str(info.value) == (
+            f"programming 0xf0 over 0x0f at {base + offset:#x} requires "
+            "an erase first")
+        assert flash.stats() == stats
+        assert flash.read(base, size) == before
+
     def test_layout_slots(self):
         layout = FlashLayout()
         assert layout.slot_address(layout.boot_offset, 0) == \
@@ -301,3 +355,64 @@ class TestUpdater:
                                      rng)
         # Paper: 6144 mJ for a LoRa FPGA update.
         assert 3.0 < report.node_energy_j < 12.3
+
+    def test_supplied_blocks_give_the_same_session(self):
+        image = generate_mcu_program(seed=53)
+        link = OtaLink(downlink_rssi_dbm=-100.0)
+        here = OtaUpdater().update(image, link, np.random.default_rng(5),
+                                   is_fpga_image=False)
+        supplied = OtaUpdater().update(
+            image, link, np.random.default_rng(5), is_fpga_image=False,
+            blocks=split_and_compress(image))
+        assert supplied.total_time_s.hex() == here.total_time_s.hex()
+        assert supplied.node_energy_j.hex() == here.node_energy_j.hex()
+        assert supplied.compressed_bytes == here.compressed_bytes
+
+    def test_blocks_of_another_image_are_fatal(self, rng):
+        image = generate_mcu_program(seed=54)
+        other = split_and_compress(bytes(len(image)))
+        with pytest.raises(OtaError, match="does not match"):
+            OtaUpdater().update(image, OtaLink(downlink_rssi_dbm=-90.0),
+                                rng, is_fpga_image=False, blocks=other)
+
+
+class TestCompressOnce:
+    """A campaign compresses its image once, for every node and retry."""
+
+    IMAGE = generate_mcu_program(seed=55)[:2 * BLOCK_BYTES + 1000]
+
+    @pytest.fixture
+    def compress_calls(self, monkeypatch):
+        calls = []
+        original = minilzo.compress
+
+        def counting(data):
+            calls.append(len(data))
+            return original(data)
+
+        monkeypatch.setattr(minilzo, "compress", counting)
+        return calls
+
+    @staticmethod
+    def deployment(*distances_m):
+        return replace(
+            campus_deployment(num_nodes=1, seed=3),
+            nodes=tuple(NodePlacement(node_id=i, x_m=d, y_m=0.0)
+                        for i, d in enumerate(distances_m)))
+
+    def test_testbed_campaign(self, compress_calls):
+        campaign = run_campaign(self.deployment(80.0, 120.0, 200.0),
+                                self.IMAGE, "mcu",
+                                np.random.default_rng(6),
+                                is_fpga_image=False)
+        assert all(node.succeeded for node in campaign.results)
+        assert compress_calls == [BLOCK_BYTES, BLOCK_BYTES, 1000]
+
+    def test_access_point_campaign_with_retries(self, compress_calls):
+        # The far node fails every attempt, so the AP retries it.
+        timeline = AccessPoint(self.deployment(80.0, 50_000.0),
+                               self.IMAGE).run_campaign(
+            np.random.default_rng(7), is_fpga_image=False)
+        assert timeline.retries >= 1
+        assert timeline.success_count == 1
+        assert compress_calls == [BLOCK_BYTES, BLOCK_BYTES, 1000]
