@@ -45,11 +45,14 @@ determinism-smoke:
 	REPRO_DETERMINISM=1 $(PYTHON) examples/fleet_campaign.py
 	REPRO_DETERMINISM=1 $(PYTHON) examples/resilient_service.py
 
-# Repo-benchmark smoke: one traced ota_campaign run (untraced, traced
-# and untraced again, outputs compared).  run.py exits 0 even when a
-# check failed, so the gate is the last stdout line's "correct" field.
+# Repo-benchmark smoke: one traced ota_campaign run and one traced
+# phy_stream run (each untraced, traced and untraced again, outputs
+# compared).  run.py exits 0 even when a check failed, so the gate is
+# each run's last stdout line's "correct" field.
 perfbench-smoke:
 	$(PYTHON) perfbench/run.py --workload ota_campaign --trace 1 \
+		| tail -n 1 | tee /dev/stderr | grep -q '"correct": true'
+	$(PYTHON) perfbench/run.py --workload phy_stream --trace 1 \
 		| tail -n 1 | tee /dev/stderr | grep -q '"correct": true'
 
 # Full gate: static analysis (all rules plus a cold semantic pass), the

@@ -6,7 +6,7 @@ quantization those blocks impose and the measurement tools used to
 characterize the results.
 """
 
-from repro.dsp.fft import Radix2Fft, fft, fft_butterfly_count, ifft
+from repro.dsp.fft import Radix2Fft
 from repro.dsp.filters import StreamingFir, design_lowpass, filter_block
 from repro.dsp.fixedpoint import (
     from_codes,
@@ -42,13 +42,10 @@ __all__ = [
     "design_lowpass",
     "envelope",
     "estimate_snr_db",
-    "fft",
-    "fft_butterfly_count",
     "filter_block",
     "frequency_to_phase",
     "from_codes",
     "gaussian_taps",
-    "ifft",
     "interpolate",
     "periodogram",
     "quantization_snr_db",

@@ -1,11 +1,12 @@
-"""Radix-2 FFT implemented from scratch, modelling the FPGA IP core.
+"""Radix-2 FFT plans, modelling the FPGA IP core.
 
 The LoRa demodulator multiplies each received symbol by a conjugate chirp
 and takes an FFT whose length equals ``2**SF`` (paper Fig. 6b, "an FFT
-block implemented using a standard IP core from Lattice").  We implement
-the iterative radix-2 decimation-in-time algorithm directly - both because
-the exercise demands building substrates from scratch and because it lets
-us model the core's fixed-point behaviour (per-stage scaling) when needed.
+block implemented using a standard IP core from Lattice").  This module
+builds the iterative radix-2 decimation-in-time plan (bit-reverse
+permutation and per-stage twiddles) for one length, the way the core is
+configured for a fixed size; the float butterflies themselves run in
+:mod:`repro.phy.backend`.
 
 ``numpy.fft`` remains available for spectral *measurement* in
 :mod:`repro.dsp.measure`; the demodulation path uses this module.
@@ -13,13 +14,11 @@ us model the core's fixed-point behaviour (per-stage scaling) when needed.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.perf.cache import get_or_build
-from repro.phy.backend.registry import get_backend
+from repro.phy.backend import get_backend
 
 
 def is_power_of_two(n: int) -> bool:
@@ -65,18 +64,13 @@ class Radix2Fft:
 
     Instances cache twiddles for one transform length, the way an FPGA core
     is configured for a fixed size; the demodulator keeps one per LoRa
-    spreading factor.  The butterfly kernel itself is dispatched through
-    the DSP backend registry (:mod:`repro.phy.backend`) selected at
-    construction time.
+    spreading factor.  The butterflies run in :mod:`repro.phy.backend`.
 
     Args:
         length: transform size (power of two).
-        backend: DSP backend name (``None`` consults the
-            ``REPRO_DSP_BACKEND`` environment variable, defaulting to the
-            pure-NumPy backend).
     """
 
-    def __init__(self, length: int, backend: str | None = None) -> None:
+    def __init__(self, length: int) -> None:
         if not is_power_of_two(length):
             raise ConfigurationError(
                 f"FFT length must be a power of two, got {length}")
@@ -86,17 +80,11 @@ class Radix2Fft:
         # frozen copy through the plan cache instead of recomputing it.
         self._permutation, self._stage_twiddles = get_or_build(
             ("fft_plan", length), lambda: _build_fft_plan(length))
-        self._backend = get_backend(backend)
 
     @property
     def plan(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """The frozen ``(permutation, stage_twiddles)`` plan pair."""
         return self._permutation, self._stage_twiddles
-
-    @property
-    def backend_name(self) -> str:
-        """Name of the DSP backend executing the butterflies."""
-        return self._backend.name
 
     def forward(self, samples: np.ndarray) -> np.ndarray:
         """Compute the forward DFT of ``samples``.
@@ -109,7 +97,7 @@ class Radix2Fft:
         if samples.size != self.length:
             raise ConfigurationError(
                 f"expected {self.length} samples, got {samples.size}")
-        return self._backend.fft_block(self._permutation,
+        return get_backend().fft_block(self._permutation,
                                        self._stage_twiddles,
                                        samples.reshape(1, -1))[0]
 
@@ -131,54 +119,10 @@ class Radix2Fft:
             raise ConfigurationError(
                 f"expected a (count, {self.length}) matrix, got shape "
                 f"{blocks.shape}")
-        return self._backend.fft_block(self._permutation,
+        return get_backend().fft_block(self._permutation,
                                        self._stage_twiddles, blocks)
 
     def inverse(self, spectrum: np.ndarray) -> np.ndarray:
         """Compute the inverse DFT (normalized by ``1/N``)."""
         spectrum = np.asarray(spectrum, dtype=np.complex128)
         return np.conj(self.forward(np.conj(spectrum))) / self.length
-
-    def magnitude_peak(self, samples: np.ndarray) -> tuple[int, float]:
-        """Return ``(bin_index, magnitude)`` of the largest FFT bin.
-
-        This is the demodulator's Symbol Detector (paper Fig. 6b): the peak
-        bin index *is* the LoRa symbol value.
-        """
-        spectrum = self.forward(samples)
-        magnitudes = np.abs(spectrum)
-        index = int(np.argmax(magnitudes))
-        return index, float(magnitudes[index])
-
-
-_FFT_CACHE: dict[int, Radix2Fft] = {}
-
-
-def fft(samples: np.ndarray) -> np.ndarray:
-    """Convenience forward FFT using a cached :class:`Radix2Fft` core."""
-    samples = np.asarray(samples)
-    core = _FFT_CACHE.get(samples.size)
-    if core is None:
-        core = Radix2Fft(samples.size)
-        _FFT_CACHE[samples.size] = core
-    return core.forward(samples)
-
-
-def ifft(spectrum: np.ndarray) -> np.ndarray:
-    """Convenience inverse FFT using a cached :class:`Radix2Fft` core."""
-    spectrum = np.asarray(spectrum)
-    core = _FFT_CACHE.get(spectrum.size)
-    if core is None:
-        core = Radix2Fft(spectrum.size)
-        _FFT_CACHE[spectrum.size] = core
-    return core.inverse(spectrum)
-
-
-def fft_butterfly_count(length: int) -> int:
-    """Number of butterfly operations in an ``length``-point radix-2 FFT.
-
-    Used by the FPGA resource model to scale LUT estimates with SF.
-    """
-    if not is_power_of_two(length):
-        raise ConfigurationError(f"FFT length must be a power of two, got {length}")
-    return (length // 2) * int(math.log2(length))

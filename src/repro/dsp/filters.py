@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.phy.backend.registry import get_backend
+from repro.phy.backend import get_backend
 
 
 def design_lowpass(num_taps: int, cutoff_hz: float, sample_rate_hz: float,
@@ -61,22 +61,19 @@ def _window(name: str, length: int) -> np.ndarray:
     raise ConfigurationError(f"unknown window {name!r}")
 
 
-def filter_block(taps: np.ndarray, samples: np.ndarray,
-                 backend: str | None = None) -> np.ndarray:
+def filter_block(taps: np.ndarray, samples: np.ndarray) -> np.ndarray:
     """Filter one block of samples, returning the same-length aligned output.
 
     The output is delayed by the filter's group delay and truncated to the
     input length, so a caller can filter a buffered packet without having to
     track alignment (this is what the demodulator does with the FIFO
-    contents).  Evaluation runs on the selected DSP backend; every
-    backend produces bit-identical output (tap-major accumulation, see
-    :mod:`repro.phy.backend`).
+    contents).  Accumulation is tap-major (see :mod:`repro.phy.backend`).
     """
     taps = np.asarray(taps, dtype=np.float64)
     samples = np.asarray(samples)
     if samples.size == 0:
         return samples.copy()
-    return get_backend(backend).fir_aligned(taps, samples)
+    return get_backend().fir_aligned(taps, samples)
 
 
 def filter_block_reference(taps: np.ndarray,
@@ -102,18 +99,16 @@ class StreamingFir:
     """FIR filter that preserves its delay line across calls.
 
     Mirrors the FPGA pipeline, where samples stream through the filter
-    continuously rather than in isolated blocks.  The per-chunk kernel
-    runs on the selected DSP backend; any chunking of the input yields
-    the bit-exact whole-stream convolution.
+    continuously rather than in isolated blocks.  Any chunking of the
+    input yields the bit-exact whole-stream convolution.
     """
 
-    def __init__(self, taps: np.ndarray, backend: str | None = None) -> None:
+    def __init__(self, taps: np.ndarray) -> None:
         taps = np.asarray(taps, dtype=np.float64)
         if taps.size < 1:
             raise ConfigurationError("filter needs at least 1 tap")
         self._taps = taps
         self._state = np.zeros(taps.size - 1, dtype=np.complex128)
-        self._backend = get_backend(backend)
 
     @property
     def taps(self) -> np.ndarray:
@@ -129,7 +124,7 @@ class StreamingFir:
         samples = np.asarray(samples, dtype=np.complex128)
         if samples.size == 0:
             return samples.copy()
-        output = self._backend.fir_carry(self._taps, self._state, samples)
+        output = get_backend().fir_carry(self._taps, self._state, samples)
         if self._state.size:
             extended = np.concatenate([self._state, samples])
             self._state = extended[-self._state.size:].copy()

@@ -20,7 +20,6 @@ from repro.errors import OtaError
 from repro.fpga.config import NODE_FPGA, FpgaConfigurator
 from repro.mcu.msp432 import NODE_MCU, Msp432
 from repro.ota.blocks import (
-    BLOCK_BYTES,
     CompressedBlock,
     reassemble,
     split_and_compress,
@@ -124,9 +123,8 @@ class OtaUpdater:
 
     def update(self, image: bytes, link: OtaLink,
                rng: np.random.Generator,
-               is_fpga_image: bool = True,
-               block_bytes: int = BLOCK_BYTES,
-               timeline: Timeline | None = None, *,
+               is_fpga_image: bool = True, *,
+               timeline: Timeline | None = None,
                blocks: list[CompressedBlock] | None = None) -> UpdateReport:
         """Run one full OTA session.
 
@@ -136,11 +134,12 @@ class OtaUpdater:
             rng: randomness source for packet outcomes.
             is_fpga_image: FPGA images end with a quad-SPI reconfigure;
                 MCU images end with a self-flash and reboot.
-            block_bytes: compression block size.
             timeline: ledger the session is recorded on (a fresh one
                 when not supplied).
             blocks: ``image`` already compressed, as a campaign does once
-                for all its nodes (compressed here when not supplied).
+                for all its nodes (compressed here in ``BLOCK_BYTES``
+                blocks when not supplied; pass
+                ``split_and_compress(image, n)`` for another size).
 
         Raises:
             OtaError: if the transfer aborts or the installed image does
@@ -150,7 +149,7 @@ class OtaUpdater:
         since = timeline.checkpoint()
         session_start_s = timeline.now_s
         if blocks is None:
-            blocks = split_and_compress(image, block_bytes)
+            blocks = split_and_compress(image)
         wire_image = b"".join(block.header() + block.payload
                               for block in blocks)
         compressed_bytes = total_compressed_bytes(blocks)

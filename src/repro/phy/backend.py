@@ -1,27 +1,35 @@
-"""The pure-NumPy DSP backend (always available; the parity anchor).
+"""The sample-level DSP kernels every PHY chain runs on.
 
-The FFT, dechirp and discriminator kernels are the vectorized
-implementations the PHY chains ran on before the backend registry
-existed, moved behind the :class:`~repro.phy.backend.base.DspBackend`
-contract verbatim so their outputs are bit-identical to the historical
-in-line code — and therefore to the ``*_reference`` scalar twins the
-hypothesis parity suites pin.
+One kernel set models the FPGA receive datapath (paper §4, Fig. 6b):
+the radix-2 FFT butterflies, the FIR front-end (block-aligned and
+streaming carry forms), the LoRa dechirp-fold, the BLE quadrature
+discriminator and integrate-and-dump, and the O-QPSK matched filter.
+The PHY code reaches them through the one shared instance
+:func:`get_backend` returns, so a caller can wrap a kernel on
+``type(get_backend())`` and see every call.
 
-The FIR / integration kernels use explicit **tap-major accumulation**
-(ascending tap index, one vectorized slice-add per tap) instead of
-``np.convolve``/``np.sum``: BLAS-backed convolve sums each window in an
-architecture-dependent order that scalar code cannot reproduce, whereas
-tap-major order is deterministic and exactly mirrored by the compiled
-backends' scalar loops.  Sequential integration matches ``np.sum`` for
-the window sizes the modems use (NumPy switches to pairwise blocking
-only at 16+ elements), so historical GFSK decisions are unchanged.
+**Accumulation order is pinned.**  The FIR / integration kernels use
+explicit *tap-major* accumulation (ascending tap index, one vectorized
+slice-add per tap) instead of ``np.convolve``/``np.sum``: BLAS-backed
+convolve sums each window in an architecture-dependent order that
+scalar code cannot reproduce, whereas tap-major order is deterministic,
+independent of how a stream is chunked, and exactly mirrored by the
+``*_reference`` scalar twins the hypothesis parity suites check against
+(``filter_block_reference``, ``GfskDemodulator.demodulate_reference``,
+``OqpskDemodulator.soft_chips_reference``).  Sequential integration
+matches ``np.sum`` for the window sizes the modems use (NumPy switches
+to pairwise blocking only at 16+ elements).  The golden-vector corpus
+(``tests/fixtures/phy_golden``) pins the outputs bit for bit.
+
+FFT plans arrive as the ``(permutation, stage_twiddles)`` pair built by
+:class:`repro.dsp.fft.Radix2Fft`: ``permutation`` is the bit-reverse
+index array and ``stage_twiddles`` one frozen twiddle array per
+butterfly stage.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.phy.backend.base import DspBackend
 
 
 def _fir_valid(taps: np.ndarray, extended: np.ndarray) -> np.ndarray:
@@ -34,14 +42,13 @@ def _fir_valid(taps: np.ndarray, extended: np.ndarray) -> np.ndarray:
     return acc
 
 
-class NumpyBackend(DspBackend):
-    """Vectorized NumPy kernels; the default and fallback backend."""
-
-    name = "numpy"
+class NumpyBackend:
+    """Vectorized NumPy kernels; see the module docstring for the order."""
 
     def fft_block(self, permutation: np.ndarray,
                   stage_twiddles: tuple[np.ndarray, ...],
                   blocks: np.ndarray) -> np.ndarray:
+        """Radix-2 DIT forward FFT of each row of a ``(count, n)`` matrix."""
         data = blocks[:, permutation].astype(np.complex128)
         half = 1
         for twiddle in stage_twiddles:
@@ -56,6 +63,7 @@ class NumpyBackend(DspBackend):
 
     def fir_aligned(self, taps: np.ndarray,
                     samples: np.ndarray) -> np.ndarray:
+        """Group-delay-aligned FIR over one block (same output length)."""
         if samples.size == 0:
             return np.zeros(0, dtype=np.complex128)
         delay = (taps.size - 1) // 2
@@ -67,6 +75,12 @@ class NumpyBackend(DspBackend):
 
     def fir_carry(self, taps: np.ndarray, carry: np.ndarray,
                   chunk: np.ndarray) -> np.ndarray:
+        """Streaming FIR step: ``len(chunk)`` new running-convolution outputs.
+
+        ``carry`` holds the previous ``taps.size - 1`` input samples
+        (zeros at stream start), so the output is exactly the next slice
+        of the whole-stream convolution.
+        """
         if chunk.size == 0:
             return np.zeros(0, dtype=np.complex128)
         extended = np.concatenate([
@@ -79,6 +93,12 @@ class NumpyBackend(DspBackend):
                            permutation: np.ndarray,
                            stage_twiddles: tuple[np.ndarray, ...],
                            n_bins: int, oversampling: int) -> np.ndarray:
+        """Dechirp + FFT + magnitude fold of a ``(count, sym)`` matrix.
+
+        Multiplies each window by the conjugate-chirp ``reference``,
+        transforms every row, takes magnitudes and folds the oversampled
+        spectrum onto the ``n_bins`` symbol alphabet.
+        """
         spectra = np.abs(self.fft_block(permutation, stage_twiddles,
                                         windows * reference))
         if oversampling == 1:
@@ -89,11 +109,13 @@ class NumpyBackend(DspBackend):
         return folded
 
     def discriminate(self, samples: np.ndarray) -> np.ndarray:
+        """Per-sample phase increments ``angle(x[1:] * conj(x[:-1]))``."""
         rotation = samples[1:] * np.conj(samples[:-1])
         return np.angle(rotation)
 
     def integrate_bits(self, freq: np.ndarray, start: int,
                        num_bits: int, sps: int) -> np.ndarray:
+        """Integrate-and-dump symbol metrics over ``sps``-sample windows."""
         # The discriminator output is one sample shorter than its input,
         # so the final window may be truncated; integrate whole windows
         # as a matrix and finish any ragged tail scalar-wise (same
@@ -117,7 +139,21 @@ class NumpyBackend(DspBackend):
 
     def matched_filter(self, samples: np.ndarray,
                        taps: np.ndarray) -> np.ndarray:
+        """Full-mode real convolution (the half-sine matched filter)."""
         out = np.zeros(samples.size + taps.size - 1, dtype=np.float64)
         for k in range(taps.size):
             out[k:k + samples.size] += taps[k] * samples
         return out
+
+
+_KERNELS = NumpyBackend()
+
+
+def get_backend() -> NumpyBackend:
+    """The shared kernel instance every PHY chain calls."""
+    return _KERNELS
+
+
+def resolve_backend_name() -> str:
+    """Name of the kernel set, for run manifests."""
+    return "numpy"

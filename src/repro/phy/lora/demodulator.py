@@ -22,7 +22,7 @@ from repro.dsp.fft import Radix2Fft
 from repro.dsp.filters import design_lowpass, filter_block
 from repro.errors import CodingError, DemodulationError
 from repro.perf.cache import get_or_build
-from repro.phy.backend.registry import get_backend
+from repro.phy.backend import get_backend
 from repro.phy.lora.chirp import ideal_chirp
 from repro.phy.lora.codec import (
     HEADER_CR_DENOMINATOR,
@@ -63,13 +63,10 @@ class SymbolDecision:
 class SymbolDemodulator:
     """Dechirp + FFT + peak detection for one LoRa configuration.
 
-    The dechirp-FFT-fold kernel is dispatched through the DSP backend
-    registry (:mod:`repro.phy.backend`); every registered backend is
-    bit-identical, so the choice never changes symbol decisions.
+    The dechirp-FFT-fold kernel runs in :mod:`repro.phy.backend`.
     """
 
-    def __init__(self, params: LoRaParams,
-                 backend: str | None = None) -> None:
+    def __init__(self, params: LoRaParams) -> None:
         self.params = params
         # The conjugate dechirp reference and base upchirp are shared
         # through the plan cache: every modem built for the same params
@@ -79,24 +76,18 @@ class SymbolDemodulator:
             ("lora_dechirp", params), lambda: np.conj(ideal_chirp(params, 0)))
         self._upchirp = get_or_build(
             ("lora_upchirp_ref", params), lambda: ideal_chirp(params, 0))
-        self._fft = Radix2Fft(params.samples_per_symbol, backend=backend)
-        self._backend = get_backend(backend)
+        self._fft = Radix2Fft(params.samples_per_symbol)
 
     @property
     def fft_length(self) -> int:
         """FFT size used per symbol (``2**SF * oversampling``)."""
         return self._fft.length
 
-    @property
-    def backend_name(self) -> str:
-        """Name of the DSP backend executing the dechirp kernels."""
-        return self._backend.name
-
     def _mags(self, windows: np.ndarray,
               reference: np.ndarray) -> np.ndarray:
         """Dechirped, folded FFT magnitudes for a window matrix."""
         permutation, stage_twiddles = self._fft.plan
-        return self._backend.dechirp_magnitudes(
+        return get_backend().dechirp_magnitudes(
             windows, reference, permutation, stage_twiddles,
             self.params.chips_per_symbol, self.params.oversampling)
 
@@ -262,10 +253,9 @@ class PacketSynchronizer:
        their combination isolates the integer-bin CFO.
     """
 
-    def __init__(self, params: LoRaParams,
-                 backend: str | None = None) -> None:
+    def __init__(self, params: LoRaParams) -> None:
         self.params = params
-        self.symbol_demod = SymbolDemodulator(params, backend=backend)
+        self.symbol_demod = SymbolDemodulator(params)
 
     def find_packet(self, samples: np.ndarray,
                     search_start: int = 0) -> SyncResult:
@@ -441,18 +431,14 @@ class LoRaDemodulator:
             demodulator.  Defaults to on only when oversampling > 1 - at
             critical sampling the signal already occupies the whole band
             and the filter would bite into the outer bins.
-        backend: DSP backend name for the hot kernels (``None`` consults
-            ``REPRO_DSP_BACKEND``); all backends are bit-identical.
     """
 
     def __init__(self, params: LoRaParams, crc: bool = True,
-                 use_fir: bool | None = None,
-                 backend: str | None = None) -> None:
+                 use_fir: bool | None = None) -> None:
         self.params = params
         self.codec = LoRaCodec(params, crc=crc)
-        self.synchronizer = PacketSynchronizer(params, backend=backend)
+        self.synchronizer = PacketSynchronizer(params)
         self.symbol_demod = self.synchronizer.symbol_demod
-        self._backend_request = backend
         if use_fir is None:
             use_fir = params.oversampling > 1
         self._fir_taps = None
@@ -464,17 +450,11 @@ class LoRaDemodulator:
                     FIR_TAPS, cutoff_hz=cutoff_hz,
                     sample_rate_hz=params.sample_rate_hz))
 
-    @property
-    def backend_name(self) -> str:
-        """Name of the DSP backend executing the hot kernels."""
-        return self.symbol_demod.backend_name
-
     def frontend(self, samples: np.ndarray) -> np.ndarray:
         """Apply the receive FIR (identity when disabled)."""
         if self._fir_taps is None:
             return np.asarray(samples, dtype=np.complex128)
-        return filter_block(self._fir_taps, samples,
-                            backend=self._backend_request)
+        return filter_block(self._fir_taps, samples)
 
     def _derotate(self, samples: np.ndarray, cfo_bins: int) -> np.ndarray:
         """Remove an integer-bin CFO."""

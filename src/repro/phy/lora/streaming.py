@@ -31,10 +31,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dsp.filters import design_lowpass
+from repro.dsp.filters import StreamingFir, design_lowpass
 from repro.errors import CodingError, ConfigurationError
 from repro.perf.cache import get_or_build
-from repro.phy.backend.registry import get_backend
 from repro.phy.lora.codec import LoRaCodec
 from repro.phy.lora.demodulator import (
     FIR_TAPS,
@@ -56,33 +55,31 @@ class _StreamingAlignedFir:
     """Streaming twin of the aligned block FIR.
 
     Across any chunking, the concatenated outputs equal
-    ``filter_block(taps, stream)`` bit for bit: the first ``delay``
+    ``filter_block(taps, stream)`` bit for bit: the inner
+    :class:`StreamingFir` carries the delay line, the first ``delay``
     convolution outputs are skipped and :meth:`flush` pushes the same
     trailing zero padding the block path appends.
     """
 
-    def __init__(self, taps: np.ndarray, backend) -> None:
-        self._taps = np.asarray(taps, dtype=np.float64)
-        self._backend = backend
-        self._delay = (self._taps.size - 1) // 2
-        self._carry = np.zeros(self._taps.size - 1, dtype=np.complex128)
+    def __init__(self, taps: np.ndarray) -> None:
+        self._fir = StreamingFir(taps)
+        self._num_taps = self._fir.taps.size
+        self._delay = (self._num_taps - 1) // 2
         self._to_skip = self._delay
         self._pushed = 0
         self._emitted = 0
 
-    def process(self, chunk: np.ndarray) -> np.ndarray:
-        chunk = np.ascontiguousarray(chunk, dtype=np.complex128)
-        if chunk.size == 0:
-            return np.zeros(0, dtype=np.complex128)
-        self._pushed += chunk.size
-        out = self._backend.fir_carry(self._taps, self._carry, chunk)
-        if self._carry.size:
-            extended = np.concatenate([self._carry, chunk])
-            self._carry = extended[-self._carry.size:].copy()
+    def _skip(self, out: np.ndarray) -> np.ndarray:
+        """Drop whatever is left of the group-delay prefix."""
         if self._to_skip:
             taken = min(self._to_skip, out.size)
             out = out[taken:]
             self._to_skip -= taken
+        return out
+
+    def process(self, chunk: np.ndarray) -> np.ndarray:
+        self._pushed += chunk.size
+        out = self._skip(self._fir.process(chunk))
         self._emitted += out.size
         return out
 
@@ -91,19 +88,13 @@ class _StreamingAlignedFir:
         missing = self._pushed - self._emitted
         if missing <= 0:
             return np.zeros(0, dtype=np.complex128)
-        pad = np.zeros(self._taps.size - 1 - self._delay,
-                       dtype=np.complex128)
-        out = self._backend.fir_carry(self._taps, self._carry, pad)
-        if self._to_skip:
-            taken = min(self._to_skip, out.size)
-            out = out[taken:]
-            self._to_skip -= taken
-        out = out[:missing]
+        pad = np.zeros(self._num_taps - 1 - self._delay, dtype=np.complex128)
+        out = self._skip(self._fir.process(pad))[:missing]
         self._emitted += out.size
         return out
 
     def reset(self) -> None:
-        self._carry[:] = 0.0
+        self._fir.reset()
         self._to_skip = self._delay
         self._pushed = 0
         self._emitted = 0
@@ -124,21 +115,17 @@ class StreamingDemodulator:
         crc: expect a payload CRC (must match the transmitter).
         use_fir: run the paper's 14-tap low-pass front-end; same default
             rule as :class:`LoRaDemodulator`.
-        backend: DSP backend name (``None`` consults
-            ``REPRO_DSP_BACKEND``).
     """
 
     def __init__(self, params: LoRaParams, crc: bool = True,
-                 use_fir: bool | None = None,
-                 backend: str | None = None) -> None:
+                 use_fir: bool | None = None) -> None:
         if not params.explicit_header:
             raise ConfigurationError(
                 "streaming demodulation requires explicit-header mode "
                 "(packet lengths come from the PHY header)")
         self.params = params
         self.codec = LoRaCodec(params, crc=crc)
-        self.symbol_demod = SymbolDemodulator(params, backend=backend)
-        self._backend = get_backend(backend)
+        self.symbol_demod = SymbolDemodulator(params)
         if use_fir is None:
             use_fir = params.oversampling > 1
         self._fir: _StreamingAlignedFir | None = None
@@ -149,18 +136,13 @@ class StreamingDemodulator:
                 lambda: design_lowpass(
                     FIR_TAPS, cutoff_hz=cutoff_hz,
                     sample_rate_hz=params.sample_rate_hz))
-            self._fir = _StreamingAlignedFir(taps, self._backend)
+            self._fir = _StreamingAlignedFir(taps)
         self._buffer = np.zeros(0, dtype=np.complex128)
         self._buffer_start = 0
         self._reset_search(0)
         self._finished = False
 
     # -- public API --------------------------------------------------------
-
-    @property
-    def backend_name(self) -> str:
-        """Name of the DSP backend executing the hot kernels."""
-        return self.symbol_demod.backend_name
 
     @property
     def buffered_samples(self) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError, DemodulationError
-from repro.phy.backend.registry import get_backend
+from repro.phy.backend import get_backend
 from repro.phy.oqpsk.spreading import CHIP_RATE_HZ
 
 
@@ -71,14 +71,12 @@ class OqpskModulator:
 class OqpskDemodulator:
     """Matched-filter O-QPSK receiver producing soft chips.
 
-    The matched-filter kernel is dispatched through the DSP backend
-    registry (:mod:`repro.phy.backend`) with tap-major accumulation, so
-    every backend (and :meth:`soft_chips_reference`) produces
-    bit-identical soft chips.
+    The matched-filter kernel runs in :mod:`repro.phy.backend` with
+    tap-major accumulation, so it and :meth:`soft_chips_reference`
+    produce bit-identical soft chips.
     """
 
-    def __init__(self, samples_per_chip: int = 2,
-                 backend: str | None = None) -> None:
+    def __init__(self, samples_per_chip: int = 2) -> None:
         if samples_per_chip < 2 or samples_per_chip % 2:
             raise ConfigurationError(
                 "need an even oversampling >= 2, got "
@@ -87,12 +85,6 @@ class OqpskDemodulator:
         n = np.arange(2 * samples_per_chip)
         pulse = np.sin(np.pi * (n + 0.5) / (2 * samples_per_chip))
         self._matched = pulse / np.sum(pulse ** 2)
-        self._backend = get_backend(backend)
-
-    @property
-    def backend_name(self) -> str:
-        """Name of the DSP backend executing the matched filter."""
-        return self._backend.name
 
     def _chip_centers(self, num_chips: int, start_sample: int) -> np.ndarray:
         """Sampling instants for each chip in the filtered rails."""
@@ -120,9 +112,9 @@ class OqpskDemodulator:
             raise DemodulationError(
                 f"stream of {samples.size} samples cannot supply "
                 f"{num_chips} chips from offset {start_sample}")
-        i_filtered = self._backend.matched_filter(
+        i_filtered = get_backend().matched_filter(
             np.ascontiguousarray(samples.real), self._matched)
-        q_filtered = self._backend.matched_filter(
+        q_filtered = get_backend().matched_filter(
             np.ascontiguousarray(samples.imag), self._matched)
         # The matched filter peaks one pulse-length after each chip start.
         centers = self._chip_centers(num_chips, start_sample)

@@ -1,7 +1,7 @@
 """Golden-vector corpus generator for the PHY conformance suite.
 
-Every registered DSP backend must reproduce these vectors **bit
-exactly** — that is the parity contract of :mod:`repro.phy.backend`.
+The DSP kernels in :mod:`repro.phy.backend` must reproduce these
+vectors **bit exactly**.
 Each JSON case pins:
 
 * the full seeded generation recipe (modulation parameters, payload,
@@ -37,6 +37,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.phy.backend import get_backend
 from repro.phy.ble import GfskConfig, GfskDemodulator, GfskModulator
 from repro.phy.lora import LoRaDemodulator, LoRaModulator, LoRaParams
 from repro.phy.oqpsk import OqpskDemodulator, OqpskModulator, despread, \
@@ -157,7 +158,7 @@ def _gen_gfsk(name: str, sps: int, num_bits: int, seed: int) -> dict:
     if not np.array_equal(decided, bits):
         raise AssertionError(f"{name}: GFSK demod failed on clean capture")
     freq = demod.instantaneous_frequency(capture)
-    metrics = demod._backend.integrate_bits(freq, 0, num_bits, sps)
+    metrics = get_backend().integrate_bits(freq, 0, num_bits, sps)
     case.update({
         "capture_sha256": _sha256(capture),
         "expected": {

@@ -1,41 +1,20 @@
-"""DSP backend registry behavior and bit-exact parity contracts.
+"""Bit-exact parity contracts for the DSP kernels and the codec.
 
-Every backend registered in :mod:`repro.phy.backend` must reproduce the
-NumPy anchor backend bit for bit, and every vectorized fast path must
-match its ``*_reference`` scalar twin exactly.  These tests exercise
-both directions: the registry (selection, fallback, memoization) and
-the kernel/codec parity pairs introduced with the backend split.
+Every vectorized fast path must match its ``*_reference`` scalar twin
+exactly: the FIR, GFSK and O-QPSK kernels in :mod:`repro.phy.backend`
+and the LoRa codec/whitening fast paths.
 """
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
 from repro.dsp.filters import (
     StreamingFir,
     design_lowpass,
     filter_block,
     filter_block_reference,
 )
-from repro.phy.backend import (
-    BACKEND_ENV_VAR,
-    DEFAULT_BACKEND,
-    available_backends,
-    get_backend,
-    register_backend,
-    registered_backends,
-    resolve_backend_name,
-)
-from repro.phy.backend import registry as backend_registry
-from repro.phy.backend.numba_backend import (
-    HAVE_NUMBA,
-    _fir_valid_py,
-    _integrate_bits_py,
-    _matched_filter_py,
-)
-from repro.phy.backend.numpy_backend import NumpyBackend, _fir_valid
 from repro.phy.ble.gfsk import GfskConfig, GfskDemodulator, GfskModulator
 from repro.phy.lora.coding import whiten, whiten_reference
 from repro.phy.lora.codec import LoRaCodec
@@ -47,71 +26,6 @@ def random_samples(seed: int, count: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return (rng.uniform(-0.95, 0.95, count)
             + 1j * rng.uniform(-0.95, 0.95, count))
-
-
-class TestRegistry:
-    def test_numpy_backend_always_available(self):
-        assert "numpy" in registered_backends()
-        assert "numpy" in available_backends()
-        assert DEFAULT_BACKEND == "numpy"
-
-    def test_numba_backend_is_registered(self):
-        # Registered either way; available only when numba imports.
-        assert "numba" in registered_backends()
-        assert ("numba" in available_backends()) == HAVE_NUMBA
-
-    def test_default_resolution(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert resolve_backend_name() == DEFAULT_BACKEND
-        assert resolve_backend_name(None) == DEFAULT_BACKEND
-
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
-        assert resolve_backend_name() == "numpy"
-
-    def test_auto_prefers_fastest_available(self):
-        expected = "numba" if HAVE_NUMBA else "numpy"
-        assert resolve_backend_name("auto") == expected
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve_backend_name("fpga")
-        with pytest.raises(ConfigurationError):
-            get_backend("fpga")
-
-    def test_unavailable_backend_falls_back(self):
-        if HAVE_NUMBA:
-            pytest.skip("numba importable; fallback leg covered in CI")
-        # Requesting the registered-but-unavailable numba backend must
-        # silently fall back to the default rather than erroring: code
-        # written against the compiled backend keeps working on
-        # machines without it.
-        assert resolve_backend_name("numba") == DEFAULT_BACKEND
-        assert get_backend("numba").name == "numpy"
-
-    def test_instances_are_memoized(self):
-        assert get_backend("numpy") is get_backend("numpy")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ConfigurationError):
-            register_backend("numpy", NumpyBackend)
-
-    def test_custom_backend_roundtrip(self, monkeypatch):
-        # Simulate a third-party registration without mutating the
-        # global tables permanently.
-        monkeypatch.setattr(backend_registry, "_FACTORIES",
-                            dict(backend_registry._FACTORIES))
-        monkeypatch.setattr(backend_registry, "_AVAILABLE",
-                            dict(backend_registry._AVAILABLE))
-        monkeypatch.setattr(backend_registry, "_INSTANCES",
-                            dict(backend_registry._INSTANCES))
-
-        class MirrorBackend(NumpyBackend):
-            name = "mirror"
-
-        register_backend("mirror", MirrorBackend)
-        assert "mirror" in registered_backends()
-        assert get_backend("mirror").name == "mirror"
 
 
 class TestFirParity:
@@ -131,17 +45,6 @@ class TestFirParity:
         empty = np.zeros(0, dtype=np.complex128)
         assert filter_block(taps, empty).size == 0
         assert filter_block_reference(taps, empty).size == 0
-
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 300),
-           num_taps=st.integers(2, 16))
-    def test_fir_valid_scalar_source_matches_numpy(self, seed, count,
-                                                   num_taps):
-        rng = np.random.default_rng(seed)
-        taps = rng.normal(size=num_taps)
-        extended = random_samples(seed ^ 0x5A, count + num_taps - 1)
-        assert np.array_equal(_fir_valid(taps, extended),
-                              _fir_valid_py(taps, extended))
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), count=st.integers(20, 200))
@@ -186,18 +89,6 @@ class TestGfskParity:
         ref = demod.demodulate_reference(wave, 32)
         assert np.array_equal(fast, ref)
 
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), num_bits=st.integers(1, 60),
-           sps=st.integers(2, 20), short=st.integers(0, 1))
-    def test_integrate_scalar_source_matches_numpy(self, seed, num_bits,
-                                                   sps, short):
-        rng = np.random.default_rng(seed)
-        freq = rng.normal(size=num_bits * sps - min(short, sps - 1))
-        backend = NumpyBackend()
-        assert np.array_equal(
-            backend.integrate_bits(freq, 0, num_bits, sps),
-            _integrate_bits_py(freq, 0, num_bits, sps))
-
 
 class TestOqpskParity:
     @settings(max_examples=10, deadline=None)
@@ -214,18 +105,6 @@ class TestOqpskParity:
         fast = demod.soft_chips(wave, num_chips)
         ref = demod.soft_chips_reference(wave, num_chips)
         assert np.array_equal(fast, ref)
-
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 200),
-           num_taps=st.integers(1, 12))
-    def test_matched_filter_scalar_source_matches_numpy(self, seed, count,
-                                                        num_taps):
-        rng = np.random.default_rng(seed)
-        taps = rng.normal(size=num_taps)
-        samples = rng.normal(size=count)
-        backend = NumpyBackend()
-        assert np.array_equal(backend.matched_filter(samples, taps),
-                              _matched_filter_py(samples, taps))
 
 
 class TestCodecParity:
@@ -277,49 +156,3 @@ class TestCodecParity:
     def test_whiten_custom_seed_matches_reference(self):
         data = bytes(range(64))
         assert whiten(data, seed=0x1D) == whiten_reference(data, seed=0x1D)
-
-
-class TestBackendEquivalence:
-    """Every available backend must agree with the NumPy anchor."""
-
-    @pytest.mark.parametrize("name", available_backends())
-    def test_lora_roundtrip_identical(self, name):
-        params = LoRaParams(spreading_factor=8, bandwidth_hz=125e3,
-                            oversampling=2)
-        from repro.phy.lora.modulator import LoRaModulator
-        from repro.phy.lora.demodulator import LoRaDemodulator
-        rng = np.random.default_rng(21)
-        payload = bytes(rng.integers(0, 256, 24).astype(np.uint8))
-        wave = LoRaModulator(params).modulate(payload)
-        stream = np.concatenate([np.zeros(1000, dtype=np.complex128), wave])
-        stream = stream + (rng.normal(scale=0.01, size=stream.size)
-                           + 1j * rng.normal(scale=0.01, size=stream.size))
-        anchor = LoRaDemodulator(params, backend="numpy").receive(stream)
-        other = LoRaDemodulator(params, backend=name).receive(stream)
-        assert anchor == other
-        assert anchor.payload == payload
-
-    @pytest.mark.parametrize("name", available_backends())
-    def test_gfsk_bits_identical(self, name):
-        config = GfskConfig()
-        rng = np.random.default_rng(22)
-        bits = rng.integers(0, 2, 160)
-        wave = GfskModulator(config).modulate(bits)
-        wave = wave + (rng.normal(scale=0.05, size=wave.size)
-                       + 1j * rng.normal(scale=0.05, size=wave.size))
-        anchor = GfskDemodulator(config, backend="numpy")
-        other = GfskDemodulator(config, backend=name)
-        assert np.array_equal(anchor.demodulate(wave, 150),
-                              other.demodulate(wave, 150))
-
-    @pytest.mark.parametrize("name", available_backends())
-    def test_oqpsk_soft_chips_identical(self, name):
-        rng = np.random.default_rng(23)
-        chips = rng.integers(0, 2, 64)
-        wave = OqpskModulator().modulate(chips)
-        wave = wave + (rng.normal(scale=0.02, size=wave.size)
-                       + 1j * rng.normal(scale=0.02, size=wave.size))
-        anchor = OqpskDemodulator(backend="numpy")
-        other = OqpskDemodulator(backend=name)
-        assert np.array_equal(anchor.soft_chips(wave, 60),
-                              other.soft_chips(wave, 60))

@@ -6,9 +6,6 @@ import pytest
 from repro.dsp.fft import (
     Radix2Fft,
     bit_reverse_indices,
-    fft,
-    fft_butterfly_count,
-    ifft,
     is_power_of_two,
 )
 from repro.errors import ConfigurationError
@@ -79,24 +76,3 @@ class TestInverseTransform:
         spectrum = Radix2Fft(256).forward(x)
         assert np.sum(np.abs(x) ** 2) == pytest.approx(
             np.sum(np.abs(spectrum) ** 2) / 256)
-
-
-class TestConvenienceAndPeak:
-    def test_cached_fft_matches_numpy(self, rng):
-        x = rng.normal(size=128) + 1j * rng.normal(size=128)
-        assert np.allclose(fft(x), np.fft.fft(x))
-        assert np.allclose(ifft(np.fft.fft(x)), x)
-
-    def test_magnitude_peak_finds_tone(self):
-        n = 128
-        tone = 0.5 * np.exp(2j * np.pi * 9 * np.arange(n) / n)
-        index, magnitude = Radix2Fft(n).magnitude_peak(tone)
-        assert index == 9
-        assert magnitude == pytest.approx(0.5 * n)
-
-    def test_butterfly_count(self):
-        assert fft_butterfly_count(256) == 128 * 8
-
-    def test_butterfly_count_rejects_non_power(self):
-        with pytest.raises(ConfigurationError):
-            fft_butterfly_count(100)

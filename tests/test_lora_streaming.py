@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dsp.filters import design_lowpass, filter_block
 from repro.errors import ConfigurationError, DemodulationError
 from repro.phy.lora import (
     LoRaDemodulator,
@@ -21,6 +22,7 @@ from repro.phy.lora import (
     StreamingDemodulator,
 )
 from repro.phy.lora.demodulator import SymbolDemodulator
+from repro.phy.lora.streaming import _StreamingAlignedFir
 
 
 def make_capture(params, payloads, seed, head_gap=2000):
@@ -191,6 +193,21 @@ class TestStreamingLifecycle:
         second = stream_in_chunks(demod, capture, [777, 9000])
         assert first == second
         assert first[0].decoded.payload == payload
+
+    def test_reset_clears_the_fir_delay_line(self):
+        # Reset mid-capture: a stale delay line only nudges the first
+        # taps-1 outputs, which decoded packets cannot show, so compare
+        # the filter outputs themselves.
+        taps = design_lowpass(14, 70e3, 250e3)
+        rng = np.random.default_rng(17)
+        first, second = (rng.normal(size=(2, 400))
+                         + 1j * rng.normal(size=(2, 400)))
+        fir = _StreamingAlignedFir(taps)
+        fir.process(first)
+        fir.reset()
+        out = np.concatenate([fir.process(second[:101]),
+                              fir.process(second[101:]), fir.flush()])
+        assert np.array_equal(out, filter_block(taps, second))
 
 
 class TestBoundedMemory:

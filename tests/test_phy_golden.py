@@ -1,9 +1,9 @@
-"""Golden-vector conformance suite: every backend, bit-exact.
+"""Golden-vector conformance suite: bit-exact receiver outputs.
 
 Each committed vector under ``tests/fixtures/phy_golden/`` pins a
 seeded IQ capture (by generation recipe + SHA-256) and the exact
-receiver outputs, floats as ``float.hex()``.  Every registered DSP
-backend must reproduce them **exactly** — equality here is ``==`` on
+receiver outputs, floats as ``float.hex()``.  The DSP kernels must
+reproduce them **exactly** — equality here is ``==`` on
 ints and hex strings, never ``allclose``.  Regenerate after an
 intentional DSP change with ``python -m tests.gen_phy_golden``; CI
 runs ``--check`` so the corpus cannot drift silently.
@@ -15,7 +15,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from repro.phy.backend import available_backends
+from repro.phy.backend import get_backend
 from repro.phy.ble import GfskConfig, GfskDemodulator
 from repro.phy.lora import LoRaDemodulator, LoRaParams, StreamingDemodulator
 from repro.phy.oqpsk import OqpskDemodulator, despread, spread, \
@@ -43,7 +43,6 @@ def _params(case):
         oversampling=case["oversampling"])
 
 
-BACKENDS = available_backends()
 LORA = _load("lora")
 GFSK = _load("gfsk")
 OQPSK = _load("oqpsk")
@@ -54,15 +53,13 @@ def test_corpus_is_complete():
     assert len(LORA) >= 4 and len(GFSK) >= 2 and len(OQPSK) >= 2
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("case", LORA, ids=lambda c: c["name"])
 class TestLoRaGolden:
-    def test_batch_receiver_matches_vector(self, case, backend):
+    def test_batch_receiver_matches_vector(self, case):
         capture = build_lora_capture(case)
         assert _sha256(capture) == case["capture_sha256"], \
             "capture drifted; see python -m tests.gen_phy_golden --check"
-        packets = LoRaDemodulator(_params(case),
-                                  backend=backend).receive_all(capture)
+        packets = LoRaDemodulator(_params(case)).receive_all(capture)
         assert len(packets) == 1
         packet = packets[0]
         expected = case["expected"]
@@ -73,9 +70,9 @@ class TestLoRaGolden:
         assert packet.cfo_bins == expected["cfo_bins"]
         assert packet.sync_word == expected["sync_word"]
 
-    def test_streaming_receiver_matches_vector(self, case, backend):
+    def test_streaming_receiver_matches_vector(self, case):
         capture = build_lora_capture(case)
-        demod = StreamingDemodulator(_params(case), backend=backend)
+        demod = StreamingDemodulator(_params(case))
         packets = []
         chunk = 1024
         for start in range(0, capture.size, chunk):
@@ -89,32 +86,30 @@ class TestLoRaGolden:
         assert packets[0].sync_word == expected["sync_word"]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("case", GFSK, ids=lambda c: c["name"])
 class TestGfskGolden:
-    def test_bits_and_metrics_match_vector(self, case, backend):
+    def test_bits_and_metrics_match_vector(self, case):
         _, capture = build_gfsk_capture(case)
         assert _sha256(capture) == case["capture_sha256"]
         config = GfskConfig(samples_per_symbol=case["samples_per_symbol"])
-        demod = GfskDemodulator(config, backend=backend)
+        demod = GfskDemodulator(config)
         bits = demod.demodulate(capture, case["num_bits"])
         expected = case["expected"]
         assert [int(b) for b in bits] == expected["bits"]
         freq = demod.instantaneous_frequency(capture)
-        metrics = demod._backend.integrate_bits(
+        metrics = get_backend().integrate_bits(
             freq, 0, case["num_bits"], case["samples_per_symbol"])
         assert [float(m).hex() for m in metrics] == expected["metrics_hex"]
         reference = demod.demodulate_reference(capture, case["num_bits"])
         assert np.array_equal(bits, reference)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("case", OQPSK, ids=lambda c: c["name"])
 class TestOqpskGolden:
-    def test_soft_chips_match_vector(self, case, backend):
+    def test_soft_chips_match_vector(self, case):
         chips, capture = build_oqpsk_capture(case)
         assert _sha256(capture) == case["capture_sha256"]
-        demod = OqpskDemodulator(case["samples_per_chip"], backend=backend)
+        demod = OqpskDemodulator(case["samples_per_chip"])
         soft = demod.soft_chips(capture, chips.size)
         expected = case["expected"]
         assert [float(v).hex() for v in soft] == expected["soft_chips_hex"]
