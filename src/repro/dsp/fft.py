@@ -6,7 +6,8 @@ block implemented using a standard IP core from Lattice").  This module
 builds the iterative radix-2 decimation-in-time plan (bit-reverse
 permutation and per-stage twiddles) for one length, the way the core is
 configured for a fixed size; the float butterflies themselves run in
-:mod:`repro.phy.backend`.
+:meth:`repro.phy.backend.NumpyBackend.fft_block`, which takes the plan
+as ``fft_block(*Radix2Fft(n).plan, rows)``.
 
 ``numpy.fft`` remains available for spectral *measurement* in
 :mod:`repro.dsp.measure`; the demodulation path uses this module.
@@ -18,7 +19,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.perf.cache import get_or_build
-from repro.phy.backend import get_backend
 
 
 def is_power_of_two(n: int) -> bool:
@@ -60,11 +60,12 @@ def _build_fft_plan(length: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
 
 
 class Radix2Fft:
-    """Iterative radix-2 DIT FFT with precomputed twiddle factors.
+    """The plan of an iterative radix-2 DIT FFT of one length.
 
-    Instances cache twiddles for one transform length, the way an FPGA core
-    is configured for a fixed size; the demodulator keeps one per LoRa
-    spreading factor.  The butterflies run in :mod:`repro.phy.backend`.
+    Instances hold the bit-reverse permutation and twiddle factors for one
+    transform length, the way an FPGA core is configured for a fixed size;
+    the demodulator keeps one per LoRa spreading factor and hands
+    :attr:`plan` to the backend's ``fft_block`` kernel.
 
     Args:
         length: transform size (power of two).
@@ -85,44 +86,3 @@ class Radix2Fft:
     def plan(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """The frozen ``(permutation, stage_twiddles)`` plan pair."""
         return self._permutation, self._stage_twiddles
-
-    def forward(self, samples: np.ndarray) -> np.ndarray:
-        """Compute the forward DFT of ``samples``.
-
-        Raises:
-            ConfigurationError: if the input length does not match the
-                configured transform size.
-        """
-        samples = np.asarray(samples, dtype=np.complex128)
-        if samples.size != self.length:
-            raise ConfigurationError(
-                f"expected {self.length} samples, got {samples.size}")
-        return get_backend().fft_block(self._permutation,
-                                       self._stage_twiddles,
-                                       samples.reshape(1, -1))[0]
-
-    def forward_block(self, blocks: np.ndarray) -> np.ndarray:
-        """Compute the forward DFT of each row of a ``(count, length)`` matrix.
-
-        Runs the same butterfly schedule as :meth:`forward` across all
-        rows at once, so each row's result is bit-exact with a
-        per-row :meth:`forward` call while amortizing the stage loop
-        over the whole batch (the LoRa demodulator feeds one row per
-        received symbol).
-
-        Raises:
-            ConfigurationError: if the input is not a 2-D array with
-                rows of the configured transform size.
-        """
-        blocks = np.asarray(blocks, dtype=np.complex128)
-        if blocks.ndim != 2 or blocks.shape[1] != self.length:
-            raise ConfigurationError(
-                f"expected a (count, {self.length}) matrix, got shape "
-                f"{blocks.shape}")
-        return get_backend().fft_block(self._permutation,
-                                       self._stage_twiddles, blocks)
-
-    def inverse(self, spectrum: np.ndarray) -> np.ndarray:
-        """Compute the inverse DFT (normalized by ``1/N``)."""
-        spectrum = np.asarray(spectrum, dtype=np.complex128)
-        return np.conj(self.forward(np.conj(spectrum))) / self.length

@@ -1,12 +1,13 @@
-"""Performance subsystem: plan cache and throughput timing.
+"""Performance subsystem: the keyed plan cache.
 
 The sample/bit-level substrates the Fig. 6 pipelines run on (chirp
 tables, FFT plans, NCO lookup tables, FIR tap sets) are expensive to
 derive and identical across the many modem instances a testbed sweep
 constructs.  :mod:`repro.perf.cache` memoizes those derived artifacts
-behind a keyed plan cache; :mod:`repro.perf.timing` measures the
-throughput of the vectorized hot paths against their retained scalar
-``*_reference`` implementations.
+behind a keyed plan cache.
+
+Speed is measured by ``perfbench/run.py``; ``benchmarks/check_counters.py``
+gates its exact work counters, this cache's hit ratio and misses too.
 """
 
 from repro.perf.cache import (
@@ -17,20 +18,12 @@ from repro.perf.cache import (
     plan_cache,
     stats,
 )
-from repro.perf.timing import (
-    ThroughputReport,
-    ThroughputResult,
-    measure_throughput,
-)
 
 __all__ = [
     "CacheStats",
     "PlanCache",
-    "ThroughputReport",
-    "ThroughputResult",
     "clear",
     "get_or_build",
-    "measure_throughput",
     "plan_cache",
     "stats",
 ]

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, FramingError
-from repro.dsp.fft import Radix2Fft
 from repro.phy.lora import LoRaParams
 from repro.phy.lora.chirp import (
     QuantizedChirpGenerator,
@@ -249,28 +248,6 @@ class TestChirpParity:
         params = LoRaParams(7, 125e3)
         chirp = ideal_chirp(params, 3)
         chirp[0] = 0.0  # callers own their copy; the cached base is frozen
-
-
-class TestFftBlockParity:
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1),
-           length=st.sampled_from([8, 64, 256]),
-           rows=st.integers(1, 16))
-    def test_forward_block_matches_per_row_forward(self, seed, length, rows):
-        rng = np.random.default_rng(seed)
-        matrix = (rng.normal(size=(rows, length))
-                  + 1j * rng.normal(size=(rows, length)))
-        core = Radix2Fft(length)
-        block = core.forward_block(matrix)
-        for index in range(rows):
-            assert np.array_equal(block[index], core.forward(matrix[index]))
-
-    def test_forward_block_validates_shape(self):
-        core = Radix2Fft(16)
-        with pytest.raises(ConfigurationError):
-            core.forward_block(np.zeros(16, dtype=np.complex128))
-        with pytest.raises(ConfigurationError):
-            core.forward_block(np.zeros((2, 8), dtype=np.complex128))
 
 
 class TestDemodStreamParity:

@@ -109,6 +109,22 @@ class TestChunkInvariance:
                                     capture, boundaries)
         assert streamed == batch
 
+    def test_gateway_chunks_find_every_packet(self):
+        # The gateway topology: SF7 at 2x, six packets, fixed
+        # 16384-sample chunks, one instance reset between captures.
+        params = LoRaParams(spreading_factor=7, bandwidth_hz=125e3,
+                            oversampling=2)
+        payloads = [bytes((index + k) % 256 for k in range(24))
+                    for index in range(6)]
+        capture = make_capture(params, payloads, seed=2020)
+        chunk = 1 << 14
+        demod = StreamingDemodulator(params)
+        for _ in range(2):
+            demod.reset()
+            streamed = stream_in_chunks(
+                demod, capture, range(chunk, capture.size, chunk))
+            assert [p.decoded.payload for p in streamed] == payloads
+
 
 class TestTailWindows:
     """Truncated final symbols must never shift earlier decisions."""

@@ -1,4 +1,4 @@
-"""Tests for the repro.perf plan cache and timing harness."""
+"""Tests for the repro.perf plan cache."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.perf import cache
 from repro.perf.cache import PlanCache
-from repro.perf.timing import ThroughputReport, measure_throughput
 from repro.dsp.fft import Radix2Fft
 from repro.dsp.nco import Nco, NcoConfig
 from repro.phy.lora import (
@@ -149,34 +148,3 @@ class TestPlanCacheIntegration:
             assert demodulator.receive(waveform).payload == b"sweep"
         assert cache.stats().hits > 0
 
-
-class TestTiming:
-    def test_measure_throughput_counts_items(self):
-        result = measure_throughput("noop", lambda: None, items=1000,
-                                    unit="words", repeats=2, warmup=0)
-        assert result.items == 1000
-        assert result.unit == "words"
-        assert result.best_seconds >= 0.0
-        assert result.items_per_second > 0.0
-
-    def test_measure_throughput_validates_arguments(self):
-        with pytest.raises(ConfigurationError):
-            measure_throughput("bad", lambda: None, items=0)
-        with pytest.raises(ConfigurationError):
-            measure_throughput("bad", lambda: None, items=1, repeats=0)
-
-    def test_report_speedup_and_json_roundtrip(self, tmp_path):
-        report = ThroughputReport()
-        report.add("group", "fast", measure_throughput(
-            "g.fast", lambda: None, items=100, repeats=1, warmup=0))
-        report.add("group", "reference", measure_throughput(
-            "g.ref", lambda: sum(range(2000)), items=100, repeats=1,
-            warmup=0))
-        ratio = report.speedup("group")
-        assert ratio is not None and ratio > 0.0
-        assert report.speedup("missing") is None
-        path = report.write_json(tmp_path / "bench.json")
-        import json
-        document = json.loads(path.read_text())
-        assert document["results"]["group"]["speedup"] == pytest.approx(
-            ratio)

@@ -338,6 +338,23 @@ class TestSupervisor:
         assert retries[0].duration_s == pytest.approx(0.5)
         assert job.completed_at_s > job.started_at_s
 
+    def test_crash_hang_mix_ends_every_job_terminal(self):
+        # A 12% crash / 8% hang chance on every attempt: supervision
+        # must drive each of 24 sweeps to a terminal state and still
+        # complete work, not quarantine everything.
+        service = self._crashy_service(crash_prob=0.12, hang_prob=0.08,
+                                       max_attempts=3)
+        for seed in range(24):
+            service.submit(JobSpec(kind="sweep-ble",
+                                   config={"packets": 2, "stop_dbm": -84.0},
+                                   seed=seed))
+        service.run_until_idle()
+        jobs = service.jobs()
+        assert len(jobs) == 24
+        assert all(job.state in TERMINAL_STATES for job in jobs)
+        assert service.stats().completed >= 1
+        assert sum(job.attempts for job in jobs) > 24  # faults fired
+
     def test_deadline_overrun_strikes_out(self):
         service = self._crashy_service(max_attempts=2, deadline_s=1e-9)
         job = service.submit_and_run(
